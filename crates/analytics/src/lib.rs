@@ -29,7 +29,7 @@ pub use edge_map::edge_map;
 pub use gpm::{
     average_clustering, clustering_coefficients, count_4cliques, count_4cycles, local_triangles,
 };
-pub use incremental::{IncrementalBfs, IncrementalCc};
+pub use incremental::{IncrementalBfs, IncrementalCc, Repair};
 pub use kcore::{degeneracy, kcore};
 pub use pagerank::pagerank;
 pub use snapshot::{

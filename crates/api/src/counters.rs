@@ -226,8 +226,9 @@ pub struct StructStats {
     pub ria_ripples: AtomicU64,
     /// Largest ripple span observed, in blocks (gauge, not a sum).
     pub ria_max_ripple_span: AtomicU64,
-    /// Most recent `log2(num_blocks) + 1` locality bound in effect when a
-    /// ripple was recorded (gauge, not a sum).
+    /// Largest `log2(num_blocks) + 1` locality bound in effect when a
+    /// ripple was recorded (gauge, not a sum). The largest, not the most
+    /// recent: parallel apply runs record in schedule order.
     pub ria_bound: AtomicU64,
     /// Ripples whose span exceeded the locality bound. The paper's §4.2
     /// movement bound says this must stay zero; tests assert it.
@@ -475,7 +476,7 @@ impl StructStats {
         self.ria_cross_block_moves
             .fetch_add(moved, Ordering::Relaxed);
         self.ria_max_ripple_span.fetch_max(span, Ordering::Relaxed);
-        self.ria_bound.store(bound, Ordering::Relaxed);
+        self.ria_bound.fetch_max(bound, Ordering::Relaxed);
         if span > bound {
             self.ria_bound_exceeded.fetch_add(1, Ordering::Relaxed);
         }

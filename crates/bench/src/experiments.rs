@@ -1464,7 +1464,7 @@ fn standing_cell(
         oracle_window.push(g.batch_seq(), kind, &batch);
 
         // Incremental path: the worker delivers this batch to all four
-        // maintainers and diffs their materialized results.
+        // maintainers, each of which emits its delta directly.
         let (_, d) = time(|| hub.quiesce());
         delivery += d;
 

@@ -206,15 +206,21 @@ impl CompressedNeighbors {
     }
 
     /// Membership probe: branch-free skip-pointer search, then at most one
-    /// chunk decode (recorded as `compressed_chunks_decoded`).
+    /// chunk decode (recorded as `compressed_chunks_decoded` in the
+    /// process-global sink).
     pub fn contains(&self, key: u32) -> bool {
+        self.contains_recording(key, StructStats::global())
+    }
+
+    /// [`contains`](Self::contains) recording its chunk decode into `stats`.
+    pub fn contains_recording(&self, key: u32, stats: &StructStats) -> bool {
         let Some(c) = search::rightmost_le(&self.first_keys, key) else {
             return false; // key precedes every chunk (or the set is empty)
         };
         if self.first_keys[c] == key {
             return true; // skip-pointer hit, no decode needed
         }
-        StructStats::global().record_compressed_chunk_decoded();
+        stats.record_compressed_chunk_decoded();
         let bytes = self.chunk_bytes(c);
         let mut cur = self.first_keys[c];
         let mut pos = 0usize;
@@ -362,11 +368,15 @@ mod tests {
     fn contains_decodes_at_most_one_chunk() {
         let ns: Vec<u32> = (0..10 * CHUNK as u32).map(|i| i * 3).collect();
         let c = CompressedNeighbors::from_sorted(&ns);
-        let before = StructStats::global().snapshot().compressed_chunks_decoded;
+        // A local sink: concurrent tests also decode into the global one.
+        let stats = StructStats::new();
         for probe in 0..(ns.len() as u32 * 3 + 5) {
-            assert_eq!(c.contains(probe), probe % 3 == 0 && ns.contains(&probe));
+            assert_eq!(
+                c.contains_recording(probe, &stats),
+                probe % 3 == 0 && ns.contains(&probe)
+            );
         }
-        let decoded = StructStats::global().snapshot().compressed_chunks_decoded - before;
+        let decoded = stats.snapshot().compressed_chunks_decoded;
         assert!(
             decoded <= ns.len() as u64 * 3 + 5,
             "at most one chunk decode per probe, saw {decoded}"

@@ -222,6 +222,17 @@ impl SubscriptionHub {
         }
     }
 
+    /// Delivers every queued batch, then re-derives every live subscription
+    /// from `g`'s current state, queueing one catch-up delta each (at
+    /// [`batch_seq`](LsGraph::batch_seq)). Call from the writer thread
+    /// after changing the graph outside a batch — no post-batch hook
+    /// announces [`LsGraph::repair_vertex`], so the subscriptions cannot
+    /// see it otherwise.
+    pub fn refresh(&self, g: &LsGraph) {
+        self.quiesce();
+        lock(&self.inner.registry).refresh(g, g.batch_seq());
+    }
+
     /// Drains the queue, then stops and joins the worker. Idempotent;
     /// called automatically on drop.
     pub fn shutdown(&self) {

@@ -17,7 +17,10 @@
 //!   [`IncrementalBfs`](lsgraph_analytics::IncrementalBfs) /
 //!   [`IncrementalCc`](lsgraph_analytics::IncrementalCc), plus a sliding
 //!   [`BatchWindow`] with per-batch expiry) and turns each committed batch
-//!   into a [`ResultDelta`] per live subscription.
+//!   into a [`ResultDelta`] per live subscription. The maintainer emits
+//!   the delta directly from the vertices its batch changed, so delivery
+//!   costs work proportional to the change, not to the result; delete
+//!   batches that provably change nothing skip recomputation.
 //! * [`SubscriptionHub`] — the engine binding: a
 //!   [`PostBatchHook`](lsgraph_core::PostBatchHook) that snapshots the
 //!   freshly published graph and enqueues the batch for a dedicated
@@ -29,8 +32,10 @@
 //! (including via the `subscription_deliver` failpoint) is quarantined —
 //! its torn maintainer is dropped, other subscriptions keep receiving
 //! deltas — and can be [restarted](SubscriptionHandle::restart) from a
-//! fresh snapshot, which re-materializes the result and emits one catch-up
-//! delta.
+//! fresh snapshot, which rebuilds the maintainer, materializes the result
+//! and emits one catch-up delta. Graph changes made outside a batch
+//! (vertex repairs) reach the subscriptions through
+//! [`SubscriptionHub::refresh`].
 //!
 //! ```
 //! use lsgraph_api::{DynamicGraph, Edge};

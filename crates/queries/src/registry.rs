@@ -1,6 +1,10 @@
 //! The subscription registry: maintainers, materialized results, pending
 //! deltas, and panic quarantine.
 //!
+//! Each subscription's stored result is kept current by replaying the
+//! delta its maintainer emits for each batch; full materialization happens
+//! only at registration and restart.
+//!
 //! The registry is engine-agnostic — it evaluates against anything
 //! implementing [`Graph`], so the differential oracle tests can drive it
 //! with a plain CSR as easily as the hub drives it with
@@ -125,11 +129,15 @@ impl SubscriptionRegistry {
     /// commit dropped edges (quarantined runs); traversal maintainers then
     /// rebuild from the snapshot instead of applying the batch
     /// incrementally, while window maintainers still record the slot (see
-    /// [`Maintainer::apply`]). Each live subscription emits exactly one delta (possibly
-    /// empty). A maintainer that panics — organically or via the
-    /// `subscription_deliver` failpoint evaluated once per live
-    /// subscription — is dropped in place (no torn state survives) and the
-    /// subscription is quarantined; the others keep receiving deltas.
+    /// [`Maintainer::apply`]). Each live subscription emits exactly one
+    /// delta (possibly empty), taken straight from its maintainer and
+    /// replayed onto the stored result with [`ResultDelta::apply_to`]: no
+    /// re-materialization, no diff. Debug builds cross-check every delta
+    /// against [`diff`] of full materializations. A maintainer that panics —
+    /// organically or via the `subscription_deliver` failpoint evaluated
+    /// once per live subscription — is dropped in place (no torn state
+    /// survives) and the subscription is quarantined; the others keep
+    /// receiving deltas.
     pub fn deliver<G: Graph + ?Sized>(
         &mut self,
         g: &G,
@@ -138,32 +146,64 @@ impl SubscriptionRegistry {
         batch: &[Edge],
         lossy: bool,
     ) {
+        self.update_live(
+            g,
+            seq,
+            |sub| seq > sub.since_seq,
+            |m, id| m.apply(g, id, seq, kind, batch, lossy),
+        );
+    }
+
+    /// Re-derives every live subscription from `g` (at batch `seq`),
+    /// queueing one catch-up delta each — for graph changes no batch
+    /// announced, such as [`LsGraph::repair_vertex`]. Panics quarantine as
+    /// in [`deliver`](Self::deliver).
+    ///
+    /// [`LsGraph::repair_vertex`]: lsgraph_core::LsGraph::repair_vertex
+    pub fn refresh<G: Graph + ?Sized>(&mut self, g: &G, seq: u64) {
+        self.update_live(g, seq, |_| true, |m, id| m.refresh(g, id, seq));
+    }
+
+    /// Runs `step` on the maintainer of every live subscription `wanted`
+    /// selects, under `catch_unwind`, and queues the delta it returns.
+    fn update_live<G: Graph + ?Sized>(
+        &mut self,
+        g: &G,
+        seq: u64,
+        wanted: impl Fn(&SubEntry) -> bool,
+        step: impl Fn(&mut Maintainer, SubscriptionId) -> ResultDelta,
+    ) {
         for sub in &mut self.subs {
-            if seq <= sub.since_seq {
+            if !wanted(sub) {
                 continue;
             }
             let prev = std::mem::replace(&mut sub.state, SubState::Quarantined { at_seq: seq });
-            let maintainer = match prev {
+            let mut m = match prev {
                 SubState::Live(m) => m,
                 SubState::Quarantined { at_seq } => {
                     sub.state = SubState::Quarantined { at_seq };
                     continue;
                 }
             };
+            let (id, result, step) = (sub.id, &sub.result, &step);
             let outcome = catch_unwind(AssertUnwindSafe(move || {
-                let mut m = maintainer;
                 fail_point!("subscription_deliver");
-                m.apply(g, seq, kind, batch, lossy);
-                let new = m.materialize(g);
-                (m, new)
+                let d = step(&mut m, id);
+                if cfg!(debug_assertions) {
+                    assert_eq!(
+                        d,
+                        diff(id, seq, result, &m.materialize(g)),
+                        "emitted delta diverges from the re-materialized result"
+                    );
+                }
+                (m, d)
             }));
             match outcome {
-                Ok((m, new)) => {
-                    let d = diff(sub.id, seq, &sub.result, &new);
+                Ok((m, d)) => {
                     if let Some(stats) = &self.stats {
                         stats.record_delta_delivered(d.entries());
                     }
-                    sub.result = new;
+                    d.apply_to(&mut sub.result);
                     sub.pending.push(d);
                     sub.state = SubState::Live(m);
                 }
@@ -325,6 +365,28 @@ mod tests {
         reg.deliver(&g, 1, BatchKind::Insert, &sym(&[(0, 1), (2, 3)]), true);
         let r = reg.result(id).unwrap();
         assert_eq!(r, [(0, 1), (1, 1)].into_iter().collect());
+    }
+
+    #[test]
+    fn refresh_absorbs_changes_no_batch_announced() {
+        let mut reg = SubscriptionRegistry::new(None);
+        let g0 = Csr::from_edges(4, &sym(&[(0, 1)]));
+        let ids = [
+            reg.register(&g0, StandingQuery::KHop { src: 0, k: 2 }, 0),
+            reg.register(&g0, StandingQuery::ComponentMembership { src: 0 }, 0),
+        ];
+        // The graph changes behind the registry's back (a vertex repair).
+        let g1 = Csr::from_edges(4, &sym(&[(0, 1), (1, 2)]));
+        reg.refresh(&g1, 0);
+        for id in ids {
+            let q = reg.query(id).unwrap();
+            let mut replay = BTreeMap::new();
+            for d in reg.poll(id) {
+                d.apply_to(&mut replay);
+            }
+            assert_eq!(replay, q.oracle(&g1, &crate::BatchWindow::new(1)));
+            assert_eq!(replay, reg.result(id).unwrap());
+        }
     }
 
     #[test]

@@ -553,7 +553,8 @@ fn incremental_maintainers_survive_deletion_streams() {
         let mut snaps = Vec::new();
         for round in 0..24 {
             // Heavier deletes than the generic streams: this is the
-            // non-monotone path (recompute/rebuild) under test.
+            // non-monotone path (safety check, else recompute/rebuild)
+            // under test.
             let is_insert = rng.gen_bool(0.55);
             let batch: Vec<Edge> = if !is_insert && round % 5 == 4 {
                 // Targeted: sever the source's current neighborhood, which
@@ -580,8 +581,8 @@ fn incremental_maintainers_survive_deletion_streams() {
                 cc.on_insert(&batch);
             } else {
                 g.delete_batch(&batch);
-                bfs.on_delete(&g);
-                cc.on_delete(&g);
+                bfs.on_delete(&g, &batch);
+                cc.on_delete(&g, &batch);
             }
             // Snapshot churn: pin the post-batch state, drop an older pin,
             // and run the maintainers' differential check against a pinned

@@ -330,10 +330,10 @@ mod kill_path {
     /// subscriptions stay correct while the engine degrades and recovers.
     ///
     /// Protocol per round: one armed batch (may quarantine vertices), then
-    /// — disarmed — `repair_vertex` restores the intended adjacency, and a
-    /// symmetric delete batch forces the traversal maintainers through
-    /// their full-recompute path so the out-of-band repair (which no hook
-    /// announces) is absorbed before the oracle comparison.
+    /// — disarmed — `repair_vertex` restores the intended adjacency and
+    /// `SubscriptionHub::refresh` absorbs that out-of-band repair (which no
+    /// hook announces), then a symmetric delete batch is delivered on the
+    /// repaired graph before the oracle comparison.
     #[test]
     fn lossy_commits_keep_subscriptions_oracle_equal() {
         let _guard = lock();
@@ -375,9 +375,11 @@ mod kill_path {
                     let ns: Vec<u32> = shadow[v as usize].iter().copied().collect();
                     g.repair_vertex(v, &ns).unwrap();
                 }
-                // Reconvergence batch: a symmetric delete routes KHop and
-                // Membership through recompute/rebuild on the repaired
-                // graph; the windowed results are exact at every delivery.
+                hub.refresh(&g);
+                // A symmetric delete on the repaired graph: KHop and
+                // Membership absorb it incrementally (or recompute when the
+                // safety check fails); the windowed results are exact at
+                // every delivery.
                 let a = rng.gen_range(0..N as u32);
                 let b = rng.gen_range(0..N as u32);
                 let heal = [Edge::new(a, b), Edge::new(b, a)];
